@@ -87,7 +87,6 @@ type searchMem struct {
 	children ptrArena
 	configs  arena[config]
 
-	heap    heapFrontier
 	buckets bucketQueue
 	visited visitedTable
 
@@ -96,29 +95,18 @@ type searchMem struct {
 	// scratch buffers for reductions that rebuild a front-stack prefix.
 	nodeBuf  []node
 	derivBuf []*Deriv
-
-	// emitBuf receives the sequential path's expansion candidates (the
-	// level-synchronous mode uses per-batch buffers instead); levelBuf holds
-	// the configurations of the cost level being expanded. Both are retained
-	// across conflicts like the arenas.
-	emitBuf  []config
-	levelBuf []*config
 }
 
 // resetSearch prepares the memory for the next conflict: arenas rewind,
 // the frontier and visited table empty (keeping capacity), and the
 // allocation counters restart.
-func (m *searchMem) resetSearch(maxStep int, fifo bool) {
+func (m *searchMem) resetSearch(maxStep int) {
 	m.icells.reset()
 	m.dcells.reset()
 	m.derivs.reset()
 	m.children.reset()
 	m.configs.reset()
-	if fifo {
-		m.buckets.reset(maxStep)
-	} else {
-		m.heap.reset()
-	}
+	m.buckets.reset(maxStep)
 	m.visited.reset()
 	m.ac = allocCounter{}
 }

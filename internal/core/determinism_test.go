@@ -15,10 +15,12 @@ import (
 // cover the paper's two signature conflicts — figure1 contains both the
 // dangling-else conflict (Figure 5) and the challenging conflict of Section
 // 3.1 (Figure 9) — plus stackovf05, the corpus dangling-else grammar whose
-// conflict is reduce-reduce.
+// conflict is reduce-reduce, and a spread of small corpus grammars with
+// many equal-cost ties (figure3, figure7, xi, stackovf10, SQL.2), where the
+// frontier's FIFO tie-break decides which witness is reported.
 func TestParallelDeterminism(t *testing.T) {
 	const runs = 20
-	for _, name := range []string{"figure1", "stackovf05"} {
+	for _, name := range []string{"figure1", "figure3", "figure7", "xi", "stackovf05", "stackovf10", "SQL.2"} {
 		t.Run(name, func(t *testing.T) {
 			e, ok := corpus.Get(name)
 			if !ok {

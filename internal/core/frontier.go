@@ -4,30 +4,15 @@ import "lrcex/internal/faults"
 
 // The frontier and visited set of the unifying search.
 //
-// Two frontier implementations share the frontier interface:
-//
-//   - heapFrontier (the default) is a concrete-typed replica of
-//     container/heap over cost-ordered configurations. Its sift-up/sift-down
-//     logic mirrors the standard library's algorithms operation for
-//     operation, so the pop order — including the order among equal-cost
-//     configurations, which the cost-only comparison leaves to sift history —
-//     is bit-identical to the container/heap frontier this file replaces.
-//     That equality is what keeps every report byte-identical to the
-//     pre-rewrite search core (locked by TestGoldenReports and property-
-//     tested against the real container/heap in frontier_test.go), while
-//     dropping the interface-boxed elements and per-comparison dynamic
-//     dispatch of the standard library.
-//
-//   - bucketQueue (Options.FIFOFrontier) is a monotone bucket priority
-//     queue: action costs are small bounded positive integers (Shift=1 …
-//     RevProdStep+DupProdStep=60 under the default model) and the search is
-//     monotone — every successor costs at least as much as the configuration
-//     being expanded — so a circular array of FIFO buckets indexed by cost
-//     mod (maxStep+1) gives O(1) push and pop with no sift traffic at all.
-//     Equal-cost configurations then pop in push order, which is a different
-//     (equally minimal) tie-break than the heap's: on the Table-1 corpus it
-//     changes exactly one reported witness (a Java.4 dangling-else variant),
-//     which is why it is opt-in rather than the default.
+// The frontier is bucketQueue, a monotone bucket priority queue: action costs
+// are small bounded positive integers (Shift=1 … RevProdStep+DupProdStep=60
+// under the default model) and the search is monotone — every successor costs
+// at least as much as the configuration being expanded — so a circular array
+// of FIFO buckets indexed by cost mod (maxStep+1) gives O(1) push and pop with
+// no sift traffic at all. Equal-cost configurations pop in push order, a
+// deterministic tie-break that makes every report a pure function of the
+// grammar and the options. CostModel.withDefaults guarantees the positive
+// increments the ring relies on.
 //
 // visitedTable replaces the map[string]bool dedup set: the key is the 64-bit
 // combined rolling hash of a configuration (both item sequences plus the
@@ -36,121 +21,23 @@ import "lrcex/internal/faults"
 // minting a byte string per push. Entries chain through a flat arena slice
 // so that recording a configuration allocates nothing in the steady state.
 
-// frontier is the priority queue of the unifying search. Implementations
-// must pop in nondecreasing cost order; the tie-break among equal costs is
-// implementation-defined (see above).
-//
-// drainLevel removes every configuration of the current minimum cost at once
-// — the unit of work of the level-synchronous parallel mode. Under a strictly
-// monotone cost model (every action increment positive, see
-// CostModel.minStep) a drained level is closed: expanding its members can
-// only push strictly costlier configurations, so the drain is safe. The
-// order within the returned slice is the implementation's pop order for the
-// bucket queue (FIFO — draining is indistinguishable from popping one by
-// one), and consecutive-pop order for the heap (which differs from the
-// sequential loop's push-interleaved pops only in the tie-break among equal
-// costs, deterministically so).
-type frontier interface {
-	push(c *config)
-	pop() *config // nil when empty
-	drainLevel(dst []*config) []*config
-	size() int
-	peakSize() int
+// bqChunkSize is the capacity of one bucket storage chunk.
+const bqChunkSize = 256
+
+// bqChunk is a fixed-size block of bucket storage. Buckets are FIFO lists of
+// chunks drawn from one free list shared by the whole ring, so the queue's
+// memory tracks its peak size rather than the sum of every bucket's own
+// high-water mark, which across conflicts grows to several times the peak.
+type bqChunk struct {
+	items [bqChunkSize]*config
+	next  *bqChunk
 }
 
-// heapFrontier replicates container/heap exactly (Less is cost-only, Swap is
-// element exchange, Push appends, Pop swaps the root to the end) with
-// concrete types.
-type heapFrontier struct {
-	items []*config
-	peak  int
-}
-
-func (h *heapFrontier) reset() {
-	clear(h.items)
-	h.items = h.items[:0]
-	h.peak = 0
-}
-
-func (h *heapFrontier) size() int     { return len(h.items) }
-func (h *heapFrontier) peakSize() int { return h.peak }
-
-// push is heap.Push: append, then sift up from the last position.
-func (h *heapFrontier) push(c *config) {
-	h.items = append(h.items, c)
-	if len(h.items) > h.peak {
-		h.peak = len(h.items)
-	}
-	// up(j = len-1)
-	items := h.items
-	j := len(items) - 1
-	x := items[j]
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !(x.cost < items[i].cost) {
-			break
-		}
-		items[j] = items[i]
-		j = i
-	}
-	items[j] = x
-}
-
-// pop is heap.Pop: swap root and last, sift the new root down over the
-// shortened heap, then remove the last element.
-func (h *heapFrontier) pop() *config {
-	items := h.items
-	n := len(items) - 1
-	if n < 0 {
-		return nil
-	}
-	items[0], items[n] = items[n], items[0]
-	// down(i0 = 0, n)
-	i := 0
-	x := items[0]
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && items[j2].cost < items[j1].cost {
-			j = j2
-		}
-		if !(items[j].cost < x.cost) {
-			break
-		}
-		items[i] = items[j]
-		i = j
-	}
-	items[i] = x
-	c := items[n]
-	items[n] = nil // release for GC / arena hygiene
-	h.items = items[:n]
-	return c
-}
-
-// drainLevel pops the root and then every further configuration of the same
-// cost, into dst (reused, returned re-sliced). Equal-cost ties follow the
-// heap's consecutive-pop order.
-func (h *heapFrontier) drainLevel(dst []*config) []*config {
-	dst = dst[:0]
-	c := h.pop()
-	if c == nil {
-		return dst
-	}
-	dst = append(dst, c)
-	for len(h.items) > 0 && h.items[0].cost == c.cost {
-		dst = append(dst, h.pop())
-	}
-	return dst
-}
-
-// bqBucket is one FIFO bucket: a slice drained through head and recycled
-// in place once empty.
+// bqBucket is one FIFO bucket: pops read head.items[hi], pushes write
+// tail.items[ti].
 type bqBucket struct {
-	items []*config
-	head  int
+	head, tail *bqChunk
+	hi, ti     int
 }
 
 // bucketQueue is a monotone bucket priority queue over configuration cost.
@@ -160,25 +47,34 @@ type bucketQueue struct {
 	cur     int // cost currently being drained; never decreases while nonempty
 	n       int
 	peak    int // high-water mark of n, for SearchStats
+	free    *bqChunk
 }
 
 // reset sizes the ring for cost increments of at most maxStep and empties
-// the buckets, keeping their capacity.
+// the buckets, keeping their chunks on the free list. maxStep must be
+// positive.
 func (q *bucketQueue) reset(maxStep int) {
-	if maxStep < 1 {
-		maxStep = 1
-	}
-	if span := maxStep + 1; span > len(q.buckets) {
-		q.buckets = append(q.buckets, make([]bqBucket, span-len(q.buckets))...)
-	}
-	q.span = maxStep + 1
 	for i := range q.buckets {
 		b := &q.buckets[i]
-		clear(b.items)
-		b.items = b.items[:0]
-		b.head = 0
+		for b.head != nil {
+			c := b.head
+			b.head = c.next
+			clear(c.items[:]) // pending configurations, for GC hygiene
+			q.release(c)
+		}
+		*b = bqBucket{}
+	}
+	q.span = maxStep + 1
+	if q.span > len(q.buckets) {
+		q.buckets = make([]bqBucket, q.span)
 	}
 	q.cur, q.n, q.peak = 0, 0, 0
+}
+
+// release returns an emptied chunk to the free list.
+func (q *bucketQueue) release(c *bqChunk) {
+	c.next = q.free
+	q.free = c
 }
 
 func (q *bucketQueue) size() int     { return q.n }
@@ -189,43 +85,32 @@ func (q *bucketQueue) peakSize() int { return q.peak }
 // successors of a cost-d configuration cost between d and d+maxStep. A push
 // below the current drain level lowers it — this happens legitimately when
 // the frontier drains empty mid-expansion (the last configuration was popped
-// and its successors are being pushed one by one, not in cost order), and
-// defensively under a hand-built model with non-positive increments, where
-// pops may interleave out of order but nothing is ever lost.
+// and its successors are being pushed one by one, not in cost order).
 func (q *bucketQueue) push(c *config) {
 	if q.n == 0 || c.cost < q.cur {
 		q.cur = c.cost
 	}
 	b := &q.buckets[c.cost%q.span]
-	b.items = append(b.items, c)
+	if b.tail == nil || b.ti == bqChunkSize {
+		ch := q.free
+		if ch == nil {
+			ch = &bqChunk{}
+		} else {
+			q.free = ch.next
+			ch.next = nil
+		}
+		if b.tail == nil {
+			b.head, b.hi = ch, 0
+		} else {
+			b.tail.next = ch
+		}
+		b.tail, b.ti = ch, 0
+	}
+	b.tail.items[b.ti] = c
+	b.ti++
 	q.n++
 	if q.n > q.peak {
 		q.peak = q.n
-	}
-}
-
-// drainLevel empties the current cost bucket into dst (reused, returned
-// re-sliced) in push order. All pending configurations of one bucket share a
-// single cost (the span covers one window of consecutive values), so the
-// drain returns exactly the configurations a sequence of pops would, in the
-// same FIFO order.
-func (q *bucketQueue) drainLevel(dst []*config) []*config {
-	dst = dst[:0]
-	if q.n == 0 {
-		return dst
-	}
-	for {
-		b := &q.buckets[q.cur%q.span]
-		if b.head < len(b.items) {
-			pending := b.items[b.head:]
-			dst = append(dst, pending...)
-			clear(pending)
-			q.n -= len(pending)
-			b.items = b.items[:0]
-			b.head = 0
-			return dst
-		}
-		q.cur++
 	}
 }
 
@@ -237,18 +122,24 @@ func (q *bucketQueue) pop() *config {
 	}
 	for {
 		b := &q.buckets[q.cur%q.span]
-		if b.head < len(b.items) {
-			c := b.items[b.head]
-			b.items[b.head] = nil // release for GC
-			b.head++
-			if b.head == len(b.items) {
-				b.items = b.items[:0]
-				b.head = 0
-			}
-			q.n--
-			return c
+		if b.head == nil {
+			q.cur++
+			continue
 		}
-		q.cur++
+		h := b.head
+		c := h.items[b.hi]
+		h.items[b.hi] = nil // release for GC
+		b.hi++
+		if h == b.tail && b.hi == b.ti {
+			// Bucket drained.
+			b.head, b.tail, b.hi, b.ti = nil, nil, 0, 0
+			q.release(h)
+		} else if b.hi == bqChunkSize {
+			b.head, b.hi = h.next, 0
+			q.release(h)
+		}
+		q.n--
+		return c
 	}
 }
 

@@ -1,107 +1,13 @@
 package core
 
-// Property tests for the two frontier implementations.
-//
-// The heapFrontier's doc comment promises that its pop order — including the
-// order among equal-cost configurations, which the cost-only comparison
-// leaves entirely to sift history — is bit-identical to container/heap over
-// the same Less. TestHeapFrontierMatchesContainerHeap checks exactly that: a
-// reference frontier built on the real container/heap is driven through the
-// same random push/pop interleavings and must return the identical *config
-// pointers in the identical order. This is the property that keeps every
-// counterexample report byte-identical to the pre-rewrite search core.
-//
-// The bucketQueue promises a different contract: pops are nondecreasing in
-// cost and FIFO among equal costs. TestBucketQueueOrder checks it against a
-// sort-based model.
+// Property test for the frontier of the unifying search: the bucketQueue
+// promises that pops are nondecreasing in cost and FIFO among equal costs.
+// TestBucketQueueOrder checks it against a model of the pending multiset.
 
 import (
-	"container/heap"
 	"math/rand"
 	"testing"
 )
-
-// refHeap is the reference: the actual standard-library heap over the same
-// cost-only Less the slice implementation used.
-type refHeap struct {
-	items []*config
-	peak  int
-}
-
-func (h *refHeap) Len() int           { return len(h.items) }
-func (h *refHeap) Less(i, j int) bool { return h.items[i].cost < h.items[j].cost }
-func (h *refHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *refHeap) Push(x interface{}) { h.items = append(h.items, x.(*config)) }
-func (h *refHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	h.items = old[:n-1]
-	return x
-}
-
-func (h *refHeap) push(c *config) {
-	heap.Push(h, c)
-	if len(h.items) > h.peak {
-		h.peak = len(h.items)
-	}
-}
-
-func (h *refHeap) pop() *config {
-	if len(h.items) == 0 {
-		return nil
-	}
-	return heap.Pop(h).(*config)
-}
-
-func TestHeapFrontierMatchesContainerHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for round := 0; round < 300; round++ {
-		var got heapFrontier
-		got.reset()
-		ref := &refHeap{}
-		// Small cost universe so equal-cost ties are the common case — the
-		// tie-break among equal costs is precisely what this test pins down.
-		costSpan := 1 + rng.Intn(6)
-		for step := 0; step < 400; step++ {
-			if got.size() != len(ref.items) {
-				t.Fatalf("round %d step %d: size %d != ref %d", round, step, got.size(), len(ref.items))
-			}
-			if rng.Intn(3) == 0 {
-				g, w := got.pop(), ref.pop()
-				if g != w {
-					t.Fatalf("round %d step %d: pop returned different configuration (cost %v vs %v)",
-						round, step, costOf(g), costOf(w))
-				}
-			} else {
-				c := &config{cost: rng.Intn(costSpan)}
-				got.push(c)
-				ref.push(c)
-			}
-		}
-		// Drain: the full remaining order must agree too.
-		for {
-			g, w := got.pop(), ref.pop()
-			if g != w {
-				t.Fatalf("round %d drain: pop returned different configuration", round)
-			}
-			if g == nil {
-				break
-			}
-		}
-		if got.peakSize() != ref.peak {
-			t.Fatalf("round %d: peak %d != ref %d", round, got.peakSize(), ref.peak)
-		}
-	}
-}
-
-func costOf(c *config) interface{} {
-	if c == nil {
-		return nil
-	}
-	return c.cost
-}
 
 // TestBucketQueueOrder drives the bucket queue through random monotone
 // push/pop interleavings (successor costs only ever grow, as in the search)

@@ -50,7 +50,10 @@ func goldenOpts() core.Options {
 // name-normalized symbols — rather than the rendered Figure-11 text, so
 // renaming a corpus grammar's symbols (or rewording the human-facing render)
 // does not invalidate them; only structural changes to the found
-// counterexamples do. Regenerate with
+// counterexamples do. Every example is also machine-checked before the
+// comparison: unifying examples must be valid derivation pairs that the GLR
+// oracle parses ambiguously (where it is applicable), and nonunifying
+// prefixes must pass the lookahead-sensitive validator. Regenerate with
 //
 //	go test ./internal/core/ -run TestGoldenReports -update
 func TestGoldenReports(t *testing.T) {
@@ -67,6 +70,16 @@ func TestGoldenReports(t *testing.T) {
 			exs, err := core.NewFinder(tbl, goldenOpts()).FindAll()
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, ex := range exs {
+				if ex.Kind != core.Unifying {
+					validateNonunifying(t, g, tbl, ex)
+					continue
+				}
+				checkUnifying(t, g, ex)
+				if ambiguous, applicable := oracleConfirms(t, g, ex); applicable && !ambiguous {
+					t.Errorf("GLR oracle refuted unifying example %q", g.SymString(ex.Syms))
+				}
 			}
 			got := core.CanonicalReport(tbl.A, exs)
 

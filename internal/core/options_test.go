@@ -183,3 +183,38 @@ func TestZeroPerConflictTimeoutMeansDefault(t *testing.T) {
 		t.Error("zero-value options found no unifying example on figure1; default timeout misapplied?")
 	}
 }
+
+// TestNonPositiveCostsMeanDefaults: every non-positive cost-model field is
+// treated as unset. A model with negative increments would otherwise push
+// configurations below the bucket frontier's drain level and index its ring
+// out of range, so each conflict came back "nonunifying (recovered)". The
+// model must instead reproduce DefaultCosts' reports exactly.
+func TestNonPositiveCostsMeanDefaults(t *testing.T) {
+	for _, name := range []string{"figure1", "xi", "SQL.2"} {
+		t.Run(name, func(t *testing.T) {
+			_, tbl := build(t, name)
+			report := func(costs core.CostModel) string {
+				exs, err := core.NewFinder(tbl, core.Options{
+					PerConflictTimeout: core.NoTimeout,
+					CumulativeTimeout:  core.NoTimeout,
+					MaxConfigs:         50000,
+					Parallelism:        1,
+					Costs:              costs,
+				}).FindAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ex := range exs {
+					if ex.Kind == core.NonunifyingRecovered {
+						t.Errorf("state %d: recovered from %v", ex.Conflict.State, ex.Recovered)
+					}
+				}
+				return core.CanonicalReport(tbl.A, exs)
+			}
+			want := report(core.DefaultCosts)
+			if got := report(core.CostModel{Shift: -5, RevShift: -5, Reduce: -5}); got != want {
+				t.Fatalf("non-positive costs diverged from DefaultCosts\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			}
+		})
+	}
+}

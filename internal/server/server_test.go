@@ -142,6 +142,30 @@ func TestCacheHitOnResubmission(t *testing.T) {
 		t.Fatal("reformatted source missed the cache (fingerprint not canonical)")
 	}
 
+	// Retired options (the removed intra-conflict workers and frontier
+	// switch) are unknown fields now: a client still sending them gets a 200
+	// and hits the entry made without them.
+	body, err := json.Marshal(map[string]any{
+		"grammar": src,
+		"options": map[string]any{"intra_workers": 4, "fifo_frontier": true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rres, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retired AnalyzeResponse
+	err = json.NewDecoder(rres.Body).Decode(&retired)
+	rres.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rres.StatusCode != http.StatusOK || !retired.Cached {
+		t.Fatalf("retired options: status %d cached %t, want a 200 cache hit", rres.StatusCode, retired.Cached)
+	}
+
 	// Different options → different key → miss.
 	var fourth AnalyzeResponse
 	postAnalyze(t, ts, &AnalyzeRequest{Grammar: src, Options: AnalyzeOptions{MaxConfigs: 777}}, &fourth)
@@ -150,8 +174,8 @@ func TestCacheHitOnResubmission(t *testing.T) {
 	}
 
 	hits, misses, _ := s.cache.counters()
-	if hits != 2 || misses != 2 {
-		t.Fatalf("cache counters hits=%d misses=%d, want 2/2", hits, misses)
+	if hits != 3 || misses != 2 {
+		t.Fatalf("cache counters hits=%d misses=%d, want 3/2", hits, misses)
 	}
 
 	// The hit ratio is visible on /metrics.
@@ -166,9 +190,9 @@ func TestCacheHitOnResubmission(t *testing.T) {
 	}
 	scrape := string(raw)
 	for _, want := range []string{
-		"cexd_cache_hits_total 2",
+		"cexd_cache_hits_total 3",
 		"cexd_cache_misses_total 2",
-		`cexd_requests_total{outcome="cache_hit"} 2`,
+		`cexd_requests_total{outcome="cache_hit"} 3`,
 		`cexd_requests_total{outcome="ok"} 2`,
 	} {
 		if !strings.Contains(scrape, want) {

@@ -76,8 +76,8 @@ func (s *Span) depth() int {
 // indented by depth, carrying the span's name, sequence number, ID, and its
 // non-volatile attributes in insertion order. Wall-clock and volatile
 // attributes are excluded, so two runs of the same pipeline under the same
-// trace ID — at any -j/-intra worker count, or replaying the same fault
-// seed — render byte-identically.
+// trace ID — at any -j worker count, or replaying the same fault seed —
+// render byte-identically.
 func (t *Trace) Canonical() string {
 	var b strings.Builder
 	for _, s := range t.sortedSpans() {

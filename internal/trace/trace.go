@@ -24,8 +24,8 @@
 //     which is deterministic because they are sequential. The canonical
 //     rendering (Trace.Canonical) sorts children by sequence and omits
 //     timestamps and attributes marked volatile, so the canonical tree is
-//     byte-identical across -j/-intra worker counts and across replayed
-//     fault schedules.
+//     byte-identical across -j worker counts and across replayed fault
+//     schedules.
 //
 // Finished traces land in a bounded ring buffer (Tracer), which cexd serves
 // at /debug/traces and the CLIs dump to a file via -trace-out. Export forms:

@@ -52,8 +52,8 @@ type (
 	// Deriv is a partial derivation tree within an Example.
 	Deriv = core.Deriv
 	// Options tunes the counterexample finder: time limits (see NoTimeout),
-	// Parallelism, ExtendedSearch, the deterministic MaxConfigs budget, the
-	// FIFOFrontier bucket queue, and the cost model. cmd/cexgen and
+	// Parallelism, ExtendedSearch, the deterministic MaxConfigs and
+	// MaxArenaBytes budgets, and the cost model. cmd/cexgen and
 	// cmd/cexeval expose every field through the shared flag surface in
 	// internal/cliflags; the analysis service exposes the same knobs as
 	// AnalyzeOptions JSON.

@@ -20,8 +20,8 @@
 #           response, an unhealthy boot, a report that differs from the
 #           never-killed control, or a cold warm-restart
 #   tier 9: cextrace smoke — a traced replay through an in-process cexd;
-#           fails if the span tree diverges anywhere in the
-#           j{1,8}×intra{1,4} matrix
+#           fails if the span tree diverges anywhere in the j{1,2,8}
+#           matrix
 #
 # Usage: scripts/verify.sh [fuzztime]   (default fuzz smoke: 10s)
 set -eu
@@ -35,9 +35,9 @@ go test ./...
 
 echo "== tier 2: vet + race =="
 go vet ./...
-# -short trims the whole-grammar Java.2 corner points (tier 1 runs them
-# race-free); the intra-worker determinism matrices — the schedules the race
-# detector exists to check — run in full.
+# -short trims the corpus sweeps' search budgets (tier 1 runs them in full);
+# the parallel determinism tests — the schedules the race detector exists to
+# check — run in full.
 go test -race -short ./internal/core/... ./internal/eval/... ./internal/repair/... ./internal/server/... ./internal/persist/... ./internal/trace/...
 
 echo "== tier 3: fuzz smoke (${FUZZTIME}) =="

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,6 +91,34 @@ func TestTimeBankConcurrentCharges(t *testing.T) {
 	if !b.exhausted() {
 		t.Errorf("64 concurrent 1ms charges against a 64ms bank: remaining %v, want exhausted",
 			time.Duration(b.remaining.Load()))
+	}
+}
+
+// TestTimeBankAdmitRace: a 1 ns bank admits exactly one of many concurrent
+// searches, because admission withdraws from the bank in the same atomic
+// step as its check, before any search has charged its elapsed time.
+func TestTimeBankAdmitRace(t *testing.T) {
+	b := newTimeBank(time.Nanosecond)
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if b.admit() {
+				admitted.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := admitted.Load(); n != 1 {
+		t.Errorf("1ns bank admitted %d of 8 concurrent searches, want 1", n)
+	}
+	if !b.exhausted() {
+		t.Error("bank not exhausted after its only admission")
+	}
+	if !newTimeBank(NoTimeout).admit() {
+		t.Error("unlimited bank refused admission")
 	}
 }
 

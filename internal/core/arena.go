@@ -92,6 +92,11 @@ type searchMem struct {
 
 	ac allocCounter
 
+	// pending buffers one expansion's successors, and pendingHash their
+	// dedup keys, until unifySearch.flush resolves them.
+	pending     []config
+	pendingHash []uint64
+
 	// scratch buffers for reductions that rebuild a front-stack prefix.
 	nodeBuf  []node
 	derivBuf []*Deriv
@@ -108,6 +113,7 @@ func (m *searchMem) resetSearch(maxStep int) {
 	m.configs.reset()
 	m.buckets.reset(maxStep)
 	m.visited.reset()
+	m.pending = m.pending[:0]
 	m.ac = allocCounter{}
 }
 

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"lrcex/internal/corpus"
 	"lrcex/internal/gdl"
 	"lrcex/internal/lr"
 )
@@ -210,5 +212,41 @@ func TestConcurrentFindContext(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Errorf("concurrent Find: %v", err)
+	}
+}
+
+// count is the number of objects the arena has handed out since its reset.
+func (a *arena[T]) count() int64 { return int64(a.bi*arenaBlock + a.n) }
+
+// TestAllocBytesCountsStoredConfigs checks the search's allocation
+// accounting against what its arenas actually handed out: every cell, and a
+// configuration only for each successor that survived dedup. Deduplicated
+// successors are discarded before touching the config arena, so they must
+// not count towards AllocBytes (and hence not towards MaxArenaBytes).
+func TestAllocBytesCountsStoredConfigs(t *testing.T) {
+	e, ok := corpus.Get("xi")
+	if !ok {
+		t.Fatal("corpus grammar xi not found")
+	}
+	tbl := buildInternal(t, e.Source)
+	f := NewFinder(tbl, Options{})
+	mem := &searchMem{}
+	var dedup int
+	for _, c := range tbl.Conflicts {
+		u := newUnifySearch(f.g, c, f.opts.Costs, nil, 20000, 0, mem)
+		u.run(context.Background())
+		s := u.stats()
+		dedup += u.DedupHits
+		want := mem.icells.count()*icellSize + mem.dcells.count()*dcellSize + s.Pushed*configSize
+		if s.AllocBytes != want {
+			t.Errorf("state %d: AllocBytes = %d, want %d (icells·%d + dcells·%d + Pushed %d·%d)",
+				c.State, s.AllocBytes, want, icellSize, dcellSize, s.Pushed, configSize)
+		}
+		if got := mem.configs.count(); got != s.Pushed {
+			t.Errorf("state %d: config arena handed out %d configurations, Pushed = %d", c.State, got, s.Pushed)
+		}
+	}
+	if dedup == 0 {
+		t.Fatal("no dedup hits: the test does not exercise discarded successors")
 	}
 }

@@ -14,12 +14,18 @@ import "lrcex/internal/faults"
 // grammar and the options. CostModel.withDefaults guarantees the positive
 // increments the ring relies on.
 //
-// visitedTable replaces the map[string]bool dedup set: the key is the 64-bit
-// combined rolling hash of a configuration (both item sequences plus the
-// stage markers), and collisions fall back to a structural comparison —
-// dedup semantics are exactly the slice implementation's, just without
-// minting a byte string per push. Entries chain through a flat arena slice
-// so that recording a configuration allocates nothing in the steady state.
+// visitedTable is the dedup set: the key is the 64-bit combined rolling hash
+// of a configuration (both item sequences plus the stage markers), and every
+// hash match is confirmed by a structural comparison — dedup semantics are
+// exactly the slice implementation's, without minting a byte string per
+// push. The table is one flat power-of-two slot array with linear probing,
+// so a probe is one hashed load plus, on a hash match, the structural check,
+// and a new configuration costs one probe. The slot array lives in the
+// worker's searchMem, is cleared in place between conflicts and only ever
+// grows by doubling, so recording a configuration allocates nothing in the
+// steady state. The search probes in batches — one expansion's successors at
+// a time — touching every home slot before resolving any (see
+// unifySearch.flush).
 
 // bqChunkSize is the capacity of one bucket storage chunk.
 const bqChunkSize = 256
@@ -143,62 +149,88 @@ func (q *bucketQueue) pop() *config {
 	}
 }
 
-// visitedTable is the hashed dedup set of the unifying search.
+// visSlot is one slot of the visited table; c == nil marks it empty.
+type visSlot struct {
+	h uint64
+	c *config
+}
+
+// visInitSlots is the slot count of a fresh visited table.
+const visInitSlots = 1024
+
+// visitedTable is the hashed dedup set of the unifying search: a flat,
+// power-of-two slot array with linear probing, at most ¾ full.
 type visitedTable struct {
-	m       map[uint64]int32
-	entries []visEntry
-	buf     []node // scratch for structural comparisons
+	slots []visSlot
+	n     int
+	buf   []node // scratch for structural comparisons
+	sink  uint64 // receives touch's loads so they are not optimized away
 }
 
-// visEntry is one recorded configuration; entries with equal hashes chain
-// through next (index into the entries slice, -1 terminates).
-type visEntry struct {
-	c    *config
-	next int32
-}
-
-// reset empties the table, keeping the map and the entry arena.
+// reset empties the table in place, keeping its slot array: like the
+// arenas, the table converges to the high-water size of its searches.
 func (v *visitedTable) reset() {
-	if v.m == nil {
-		v.m = make(map[uint64]int32, 256)
-	} else {
-		clear(v.m)
+	if v.slots == nil {
+		v.slots = make([]visSlot, visInitSlots)
+	} else if v.n > 0 {
+		clear(v.slots)
 	}
-	clear(v.entries)
-	v.entries = v.entries[:0]
+	v.n = 0
 }
 
-// lookup reports whether a configuration structurally equal to c was already
-// recorded under hash h. Equality ignores the derivation lists and cost,
-// exactly as the string key did: two configurations with the same item
-// sequences and stage markers are the same search state.
-func (v *visitedTable) lookup(h uint64, c *config) bool {
-	head, ok := v.m[h]
-	if !ok {
-		return false
-	}
-	for j := head; j >= 0; j = v.entries[j].next {
-		if v.equal(v.entries[j].c, c) {
-			return true
+// touch loads the home slot of hash h. The unifying search touches a whole
+// expansion's successors before probing any of them, so their cache misses
+// overlap instead of serializing one probe at a time.
+func (v *visitedTable) touch(h uint64) {
+	v.sink += v.slots[int(h)&(len(v.slots)-1)].h
+}
+
+// find probes for a configuration structurally equal to c under hash h. It
+// returns the matching slot and true, or the empty slot where c belongs and
+// false. Equality ignores the derivation lists and cost, exactly as the
+// string key did: two configurations with the same item sequences and stage
+// markers are the same search state. Every hash match is confirmed
+// structurally, so colliding hashes never merge distinct states.
+func (v *visitedTable) find(h uint64, c *config) (int, bool) {
+	mask := len(v.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := &v.slots[i]
+		if s.c == nil {
+			return i, false
+		}
+		if s.h == h && v.equal(s.c, c) {
+			return i, true
 		}
 	}
-	return false
 }
 
-// record remembers c under hash h (the caller has established via lookup
-// that no structurally equal configuration is present). Entry-arena growth
-// carries a faults injection point (simulated table corruption); like the
-// object arenas, the steady-state append path is untouched.
-func (v *visitedTable) record(h uint64, c *config) {
-	head, ok := v.m[h]
-	if !ok {
-		head = -1
+// insert stores c under hash h in slot i, the empty slot find just returned
+// for it, and doubles the table once it is more than ¾ full.
+func (v *visitedTable) insert(i int, h uint64, c *config) {
+	v.slots[i] = visSlot{h: h, c: c}
+	if v.n++; 4*v.n > 3*len(v.slots) {
+		v.grow()
 	}
-	if len(v.entries) == cap(v.entries) {
-		faults.PanicAt(faults.CoreVisitedGrow)
+}
+
+// grow doubles the slot array and rehashes every entry. It carries a faults
+// injection point (simulated table corruption); like the object arenas, only
+// growth pays for the check, never the steady-state probe.
+func (v *visitedTable) grow() {
+	faults.PanicAt(faults.CoreVisitedGrow)
+	old := v.slots
+	v.slots = make([]visSlot, 2*len(old))
+	mask := len(v.slots) - 1
+	for _, s := range old {
+		if s.c == nil {
+			continue
+		}
+		i := int(s.h) & mask
+		for v.slots[i].c != nil {
+			i = (i + 1) & mask
+		}
+		v.slots[i] = s
 	}
-	v.entries = append(v.entries, visEntry{c: c, next: head})
-	v.m[h] = int32(len(v.entries)) - 1
 }
 
 func (v *visitedTable) equal(a, b *config) bool {

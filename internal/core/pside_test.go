@@ -216,6 +216,38 @@ func TestSideHashDistinguishesSequences(t *testing.T) {
 	enumerate(nil)
 }
 
+// visitedHas reports whether v holds a configuration structurally equal to c
+// under hash h.
+func visitedHas(v *visitedTable, h uint64, c *config) bool {
+	_, found := v.find(h, c)
+	return found
+}
+
+// visitedAdd inserts c under hash h, failing if it is already present.
+func visitedAdd(t *testing.T, v *visitedTable, h uint64, c *config) {
+	t.Helper()
+	slot, found := v.find(h, c)
+	if found {
+		t.Fatal("configuration already present")
+	}
+	v.insert(slot, h, c)
+}
+
+// mkConfig builds a configuration whose sides hold items1 and items2, built
+// by appends.
+func mkConfig(mem *searchMem, items1, items2 []node) *config {
+	c := &config{orig1: 0, orig2: 0}
+	c.s1 = sideOf(items1[0], mem)
+	for _, n := range items1[1:] {
+		c.s1 = c.s1.withAppended(n, nil, mem)
+	}
+	c.s2 = sideOf(items2[0], mem)
+	for _, n := range items2[1:] {
+		c.s2 = c.s2.withAppended(n, nil, mem)
+	}
+	return c
+}
+
 // TestVisitedTableCollisionFallback forces distinct configurations through
 // the visited table under one deliberately shared hash key and checks that
 // the structural-equality fallback keeps them apart: a recorded configuration
@@ -224,30 +256,18 @@ func TestSideHashDistinguishesSequences(t *testing.T) {
 func TestVisitedTableCollisionFallback(t *testing.T) {
 	mem := &searchMem{}
 	mem.resetSearch(1)
-
-	mk := func(items1, items2 []node) *config {
-		c := &config{orig1: 0, orig2: 0}
-		c.s1 = sideOf(items1[0], mem)
-		for _, n := range items1[1:] {
-			c.s1 = c.s1.withAppended(n, nil, mem)
-		}
-		c.s2 = sideOf(items2[0], mem)
-		for _, n := range items2[1:] {
-			c.s2 = c.s2.withAppended(n, nil, mem)
-		}
-		return c
-	}
+	mk := func(items1, items2 []node) *config { return mkConfig(mem, items1, items2) }
 
 	var v visitedTable
 	v.reset()
-	const h = uint64(0xdeadbeefcafef00d) // one shared bucket for everything below
+	const h = uint64(0xdeadbeefcafef00d) // one shared probe sequence for everything below
 
 	a := mk([]node{1, 2, 3}, []node{4, 5})
-	if v.lookup(h, a) {
+	if visitedHas(&v, h, a) {
 		t.Fatal("empty table reported a hit")
 	}
-	v.record(h, a)
-	if !v.lookup(h, a) {
+	visitedAdd(t, &v, h, a)
+	if !visitedHas(&v, h, a) {
 		t.Fatal("recorded configuration not found")
 	}
 
@@ -255,7 +275,7 @@ func TestVisitedTableCollisionFallback(t *testing.T) {
 	// equality must still hold.
 	aSplit := mk([]node{2, 3}, []node{4, 5})
 	aSplit.s1 = aSplit.s1.withPrepended(1, nil, mem)
-	if !v.lookup(h, aSplit) {
+	if !visitedHas(&v, h, aSplit) {
 		t.Fatal("split variant of recorded configuration not found")
 	}
 
@@ -269,19 +289,71 @@ func TestVisitedTableCollisionFallback(t *testing.T) {
 		{s1: a.s1, s2: a.s2, orig2: -1},   // other stage marker differs
 	}
 	for i, c := range cases {
-		if v.lookup(h, c) {
+		if visitedHas(&v, h, c) {
 			t.Fatalf("case %d: colliding but structurally different configuration reported as visited", i)
 		}
-		v.record(h, c)
+		visitedAdd(t, &v, h, c)
 	}
-	// After recording, every one of them (and the original) resolves through
-	// the collision chain.
-	if !v.lookup(h, a) {
-		t.Fatal("original lost after chaining collisions")
+	// After recording, every one of them (and the original) resolves along
+	// the shared probe sequence.
+	if !visitedHas(&v, h, a) {
+		t.Fatal("original lost after colliding inserts")
 	}
 	for i, c := range cases {
-		if !v.lookup(h, c) {
+		if !visitedHas(&v, h, c) {
 			t.Fatalf("case %d: recorded colliding configuration not found", i)
 		}
+	}
+}
+
+// TestVisitedTableGrowth drives the table through several doublings with a
+// mix of one shared hash (a long collision run that every rehash must keep
+// intact) and distinct hashes, checks that every entry survives, and then
+// checks that reset after the large search leaves no stale entry behind.
+func TestVisitedTableGrowth(t *testing.T) {
+	mem := &searchMem{}
+	mem.resetSearch(1)
+	var v visitedTable
+	v.reset()
+
+	const shared = uint64(0x5555aaaa5555aaaa)
+	n := visInitSlots * 8 // at least three doublings at ¾ load
+	cfgs := make([]*config, n)
+	hashes := make([]uint64, n)
+	for i := range cfgs {
+		cfgs[i] = mkConfig(mem, []node{node(i), node(i >> 8)}, []node{node(i % 7)})
+		if i%5 == 0 {
+			hashes[i] = shared
+		} else {
+			hashes[i] = cfgs[i].hashKey()
+		}
+		visitedAdd(t, &v, hashes[i], cfgs[i])
+	}
+	if got, min := len(v.slots), visInitSlots<<3; got < min {
+		t.Fatalf("table has %d slots after %d inserts, want at least %d (three doublings)", got, n, min)
+	}
+	if 4*v.n > 3*len(v.slots) {
+		t.Fatalf("load %d/%d exceeds ¾", v.n, len(v.slots))
+	}
+	for i, c := range cfgs {
+		if !visitedHas(&v, hashes[i], c) {
+			t.Fatalf("entry %d lost across growth", i)
+		}
+	}
+
+	size := len(v.slots)
+	v.reset()
+	if len(v.slots) != size {
+		t.Errorf("reset resized the table from %d to %d slots; it must be reused", size, len(v.slots))
+	}
+	for i, c := range cfgs {
+		if visitedHas(&v, hashes[i], c) {
+			t.Fatalf("entry %d still reported as visited after reset", i)
+		}
+	}
+	// The reused table works as a fresh one.
+	visitedAdd(t, &v, hashes[1], cfgs[1])
+	if !visitedHas(&v, hashes[1], cfgs[1]) || visitedHas(&v, hashes[2], cfgs[2]) {
+		t.Error("reused table answers wrongly after reset")
 	}
 }

@@ -97,6 +97,55 @@ func TestRecoveredPanicDegradesSingleConflict(t *testing.T) {
 	}
 }
 
+// TestVisitedGrowPanicDegradesSingleConflict arms the visited table's
+// doubling path once. xi's larger searches outgrow the initial table, so
+// exactly one conflict must degrade to "nonunifying (recovered)" and every
+// other conflict must report exactly as in an unarmed run: the worker's
+// scratch, half-grown table included, is discarded with the failed search.
+func TestVisitedGrowPanicDegradesSingleConflict(t *testing.T) {
+	_, tbl := build(t, "xi")
+	opts := deterministicOpts(2)
+
+	clean, err := core.NewFinder(tbl, opts).FindAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faults.Enable(faults.Config{Seed: 1, Rates: map[faults.Point]faults.Rate{
+		faults.CoreVisitedGrow: {Prob: 1, Max: 1},
+	}})
+	defer faults.Disable()
+
+	f := core.NewFinder(tbl, opts)
+	exs, err := f.FindAll()
+	if err != nil {
+		t.Fatalf("FindAll must degrade, not fail, under a contained panic: %v", err)
+	}
+	if fired := faults.Snapshot()[faults.CoreVisitedGrow].Fired; fired != 1 {
+		t.Fatalf("core.visited.grow fired %d times, want 1 (no search outgrew the initial table?)", fired)
+	}
+	if len(exs) != len(clean) {
+		t.Fatalf("%d examples under fault, %d clean", len(exs), len(clean))
+	}
+	recovered := 0
+	for i, ex := range exs {
+		if ex.Kind == core.NonunifyingRecovered {
+			recovered++
+			if _, ok := ex.Recovered.Value.(*faults.InjectedPanic); !ok {
+				t.Errorf("Recovered.Value = %T, want *faults.InjectedPanic", ex.Recovered.Value)
+			}
+			continue
+		}
+		if got, want := ex.Report(tbl.A), clean[i].Report(tbl.A); got != want {
+			t.Errorf("conflict %d (state %d) disturbed by a panic it did not suffer:\n--- clean ---\n%s\n--- faulted ---\n%s",
+				i, ex.Conflict.State, want, got)
+		}
+	}
+	if recovered != 1 {
+		t.Errorf("recovered %d conflicts, want exactly 1 (the Max:1 schedule fires once)", recovered)
+	}
+}
+
 // TestArenaBudgetExactBoundary pins the MaxArenaBytes off-by-one contract,
 // mirroring TestMaxConfigsExactBoundary: the budget is checked between
 // expansions with a strict >, so a search whose persistent footprint is

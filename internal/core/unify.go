@@ -135,7 +135,8 @@ type SearchStats struct {
 	// conflicts in Finder totals).
 	PeakFrontier int64
 	// AllocBytes approximates the bytes of persistent search structure
-	// allocated: cons cells (items + derivations) and configurations. It
+	// allocated: cons cells (items + derivations) and the configurations
+	// stored after dedup (Pushed of them; dropped duplicates cost none). It
 	// deliberately counts only search-owned allocations, so it is comparable
 	// across runs regardless of GC or concurrency.
 	AllocBytes int64
@@ -236,20 +237,40 @@ func (u *unifySearch) stats() SearchStats {
 	}
 }
 
-// push dedups c and, when it is new, moves it into the config arena and onto
-// the frontier. Deduplicated configurations never touch the arena.
+// push buffers a successor; flush dedups and enqueues the buffered batch.
 func (u *unifySearch) push(c config) {
-	u.mem.ac.configs++
-	h := c.hashKey()
-	if u.mem.visited.lookup(h, &c) {
-		u.DedupHits++
-		return
+	u.mem.pending = append(u.mem.pending, c)
+}
+
+// flush resolves the successors buffered since the last flush, in two
+// passes. The first hashes each one and touches its home slot in the visited
+// table, so the batch's cache misses overlap. The second dedups them in
+// generation order — a successor can also duplicate an earlier one of the
+// same batch — and moves each new one into the config arena and onto the
+// frontier. Deduplicated configurations never touch the arena, and only
+// stored ones count towards AllocBytes.
+func (u *unifySearch) flush() {
+	m := u.mem
+	hs := m.pendingHash[:0]
+	for i := range m.pending {
+		h := m.pending[i].hashKey()
+		hs = append(hs, h)
+		m.visited.touch(h)
 	}
-	p := u.mem.configs.alloc()
-	*p = c
-	u.mem.visited.record(h, p)
-	u.mem.buckets.push(p)
-	u.Pushed++
+	for i := range m.pending {
+		slot, found := m.visited.find(hs[i], &m.pending[i])
+		if found {
+			u.DedupHits++
+			continue
+		}
+		p := m.configs.alloc()
+		*p = m.pending[i]
+		m.ac.configs++
+		m.visited.insert(slot, hs[i], p)
+		m.buckets.push(p)
+		u.Pushed++
+	}
+	m.pending, m.pendingHash = m.pending[:0], hs
 }
 
 // run returns a unifying counterexample, or nil when the search space is
@@ -262,6 +283,7 @@ func (u *unifySearch) run(ctx context.Context) *unifyResult {
 	if !u.seed() {
 		return nil
 	}
+	u.flush()
 
 	for u.mem.buckets.size() > 0 {
 		if u.Expanded%checkEvery == 0 && ctx.Err() != nil {
@@ -295,6 +317,7 @@ func (u *unifySearch) run(ctx context.Context) *unifyResult {
 			return res
 		}
 		u.expand(c)
+		u.flush()
 	}
 	return nil
 }
@@ -350,9 +373,9 @@ func (u *unifySearch) success(c *config) *unifyResult {
 }
 
 // expand generates the successor configurations of Figure 10 and pushes them
-// in generation order. The faults injection point at the top simulates a
-// search-core bug mid-expansion; with the subsystem disabled (the default)
-// it is a single atomic load.
+// in generation order; run flushes them after each expansion. The faults
+// injection point at the top simulates a search-core bug mid-expansion; with
+// the subsystem disabled (the default) it is a single atomic load.
 func (u *unifySearch) expand(c *config) {
 	faults.PanicAt(faults.CoreUnifyExpand)
 	g := u.g

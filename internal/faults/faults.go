@@ -45,8 +45,8 @@ const (
 	// CoreArenaGrow fires when a search arena allocates a fresh block
 	// (simulated allocator failure → panic inside the unifying search).
 	CoreArenaGrow Point = "core.arena.grow"
-	// CoreVisitedGrow fires when the visited table's entry arena must grow
-	// (simulated table corruption → panic inside dedup).
+	// CoreVisitedGrow fires when the visited table must double its slot
+	// array (simulated table corruption → panic inside dedup).
 	CoreVisitedGrow Point = "core.visited.grow"
 	// CoreUnifyExpand fires per configuration expansion in the unifying
 	// search (simulated search-core bug → panic mid-expansion).

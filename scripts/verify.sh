@@ -22,6 +22,8 @@
 #   tier 9: cextrace smoke — a traced replay through an in-process cexd;
 #           fails if the span tree diverges anywhere in the j{1,2,8}
 #           matrix
+#   tier 10: the short core suite three times at GOMAXPROCS 1, 2 and 8;
+#           fails on any verdict that depends on scheduling
 #
 # Usage: scripts/verify.sh [fuzztime]   (default fuzz smoke: 10s)
 set -eu
@@ -63,5 +65,10 @@ go run ./cmd/cexrestart -smoke -out /dev/null
 
 echo "== tier 9: tracing smoke (span-tree determinism) =="
 go run ./cmd/cextrace -smoke -out /dev/null
+
+echo "== tier 10: core suite across GOMAXPROCS (scheduling independence) =="
+for procs in 1 2 8; do
+	GOMAXPROCS=$procs go test -short -count=3 ./internal/core/
+done
 
 echo "verify: OK"
